@@ -359,9 +359,11 @@ func writeManifest(c cli, deck *masc.Deck, run *masc.Run, reg *masc.Registry, st
 		Set("mem_budget_bytes", c.memBudgetBytes).
 		Set("tstep", deck.Tran.TStep).
 		Set("tstop", deck.Tran.TStop)
+	man.LUOrdering = masc.LUOrdering
 	if run != nil {
 		man.Set("storage", string(run.Storage))
 		if run.Tran != nil {
+			man.LUFillRatio = run.Tran.Stats.FillRatio
 			man.Section("transient", run.Tran.Stats)
 			if run.Storage != masc.StorageRecompute {
 				man.Section("tensor", run.TensorStats)

@@ -38,12 +38,12 @@ type Circuit struct {
 	jPerm     []int32
 }
 
-// JPerm returns the fill-reducing RCM column ordering of the union Jacobian
+// JPerm returns the fill-reducing AMD column ordering of the union Jacobian
 // pattern, computed once per circuit and shared by every factorization
 // (transient solves, adjoint sweeps, direct sensitivities). Callers must
 // not modify the returned slice.
 func (c *Circuit) JPerm() []int32 {
-	c.jPermOnce.Do(func() { c.jPerm = lu.RCM(c.JPat) })
+	c.jPermOnce.Do(func() { c.jPerm = lu.AMD(c.JPat) })
 	return c.jPerm
 }
 

@@ -32,12 +32,16 @@ var ErrPivotDegraded = errors.New("lu: recorded pivot order degraded, refactor f
 // solve at far above roundoff.
 const refactorGrowthLimit = 1e4
 
+// DefaultPivotThreshold is the τ Factor uses when Options.PivotThreshold is
+// zero. Journals record it as part of the numeric plan.
+const DefaultPivotThreshold = 0.1
+
 // Options configures a factorization.
 type Options struct {
 	// PivotThreshold τ ∈ (0,1]: the structurally "diagonal" row is kept as
 	// pivot if its magnitude is at least τ times the column maximum.
 	// Smaller values preserve the diagonal (and hence sparsity) more
-	// aggressively. Zero means the default 0.1.
+	// aggressively. Zero means DefaultPivotThreshold.
 	PivotThreshold float64
 	// ColPerm is a fill-reducing column pre-ordering: column j of the
 	// factorization is original column ColPerm[j]. Nil means natural order.
@@ -98,7 +102,7 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 	n := a.P.N
 	tau := opt.PivotThreshold
 	if tau == 0 {
-		tau = 0.1
+		tau = DefaultPivotThreshold
 	}
 	q := opt.ColPerm
 	if q == nil {

@@ -3,6 +3,7 @@ package lu
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,29 +230,47 @@ func TestRefactorRejectsForeignPattern(t *testing.T) {
 	}
 }
 
-func TestRCMOrderingIsPermutation(t *testing.T) {
+func TestAMDOrderingIsPermutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for iter := 0; iter < 10; iter++ {
-		n := 1 + rng.Intn(80)
-		m := randomSPDish(rng, n, 3*n)
-		ord := RCM(m.P)
-		if len(ord) != n {
-			t.Fatalf("ordering length %d, want %d", len(ord), n)
+	check := func(p *sparse.Pattern) {
+		t.Helper()
+		ord := AMD(p)
+		if len(ord) != p.N {
+			t.Fatalf("ordering length %d, want %d", len(ord), p.N)
 		}
-		seen := make([]bool, n)
+		seen := make([]bool, p.N)
 		for _, v := range ord {
-			if v < 0 || int(v) >= n || seen[v] {
+			if v < 0 || int(v) >= p.N || seen[v] {
 				t.Fatalf("not a permutation: %v", ord)
 			}
 			seen[v] = true
 		}
 	}
+	for iter := 0; iter < 10; iter++ {
+		n := 1 + rng.Intn(80)
+		check(randomSPDish(rng, n, 3*n).P)
+	}
+	// A supply-rail hub touching every node is denser than 10·√n and is
+	// ordered last, outside the elimination.
+	n := 300
+	m := randomSPDish(rng, n, 2*n)
+	b := sparse.NewBuilder(n)
+	for i := int32(0); i < int32(n); i++ {
+		lo, hi := m.P.Row(i)
+		for k := lo; k < hi; k++ {
+			b.Add(i, m.P.ColIdx[k])
+		}
+		b.Add(0, i)
+	}
+	hub := b.Build()
+	check(hub)
+	if ord := AMD(hub); ord[n-1] != 0 {
+		t.Fatalf("dense hub row ordered at %d, want last", ord[n-1])
+	}
 }
 
-func TestRCMReducesFillOnLadder(t *testing.T) {
-	// A 2-D grid Laplacian: RCM should not increase fill versus a random
-	// permutation (it typically reduces it a lot).
-	side := 20
+// grid2D builds the 5-point Laplacian of a side×side grid.
+func grid2D(side int) *sparse.Matrix {
 	n := side * side
 	b := sparse.NewBuilder(n)
 	id := func(r, c int) int32 { return int32(r*side + c) }
@@ -269,17 +288,25 @@ func TestRCMReducesFillOnLadder(t *testing.T) {
 		}
 	}
 	m := sparse.NewMatrix(b.Build())
-	for i := 0; i < n; i++ {
-		m.AddAt(int32(i), int32(i), 4)
-	}
 	for i := int32(0); i < int32(n); i++ {
 		lo, hi := m.P.Row(i)
 		for k := lo; k < hi; k++ {
-			if m.P.ColIdx[k] != i {
+			if m.P.ColIdx[k] == i {
+				m.Val[k] = 4
+			} else {
 				m.Val[k] = -1
 			}
 		}
 	}
+	return m
+}
+
+func TestAMDReducesFillOnGrid(t *testing.T) {
+	// On a 2-D grid Laplacian AMD must not increase fill versus a random
+	// permutation (it reduces it several-fold), and solves under the
+	// ordering stay accurate.
+	m := grid2D(20)
+	n := m.P.N
 	rng := rand.New(rand.NewSource(1))
 	randPerm := make([]int32, n)
 	for i := range randPerm {
@@ -291,23 +318,51 @@ func TestRCMReducesFillOnLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fRCM, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	fAMD, err := Factor(m, Options{ColPerm: AMD(m.P)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fRCM.LNNZ()+fRCM.UNNZ() > fRand.LNNZ()+fRand.UNNZ() {
-		t.Fatalf("RCM fill %d worse than random %d", fRCM.LNNZ()+fRCM.UNNZ(), fRand.LNNZ()+fRand.UNNZ())
+	if fAMD.LNNZ()+fAMD.UNNZ() > fRand.LNNZ()+fRand.UNNZ() {
+		t.Fatalf("AMD fill %d worse than random %d", fAMD.LNNZ()+fAMD.UNNZ(), fRand.LNNZ()+fRand.UNNZ())
 	}
-	// Sanity: solve still correct under ordering.
 	b2 := make([]float64, n)
 	want := make([]float64, n)
 	for i := range b2 {
 		b2[i] = rng.NormFloat64()
 		want[i] = b2[i]
 	}
-	fRCM.Solve(b2)
+	fAMD.Solve(b2)
 	if r := residual(m, b2, want); r > 1e-8 {
-		t.Fatalf("residual with RCM: %g", r)
+		t.Fatalf("residual with AMD: %g", r)
+	}
+}
+
+func TestAMDDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for iter := 0; iter < 10; iter++ {
+		n := 2 + rng.Intn(200)
+		p := randomIndefinite(rng, n).P
+		want := AMD(p)
+		if got := AMD(p); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: repeated call gave %v, want %v", n, got, want)
+		}
+		// The same pattern rebuilt from entries added in shuffled order.
+		type entry struct{ i, j int32 }
+		var ents []entry
+		for i := int32(0); i < int32(n); i++ {
+			lo, hi := p.Row(i)
+			for k := lo; k < hi; k++ {
+				ents = append(ents, entry{i, p.ColIdx[k]})
+			}
+		}
+		rng.Shuffle(len(ents), func(a, b int) { ents[a], ents[b] = ents[b], ents[a] })
+		b := sparse.NewBuilder(n)
+		for _, e := range ents {
+			b.Add(e.i, e.j)
+		}
+		if got := AMD(b.Build()); !slices.Equal(got, want) {
+			t.Fatalf("n=%d: shuffled rebuild gave %v, want %v", n, got, want)
+		}
 	}
 }
 
@@ -337,7 +392,7 @@ func TestQuickSolve(t *testing.T) {
 func BenchmarkFactor(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
-	q := RCM(m.P)
+	q := AMD(m.P)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -350,7 +405,7 @@ func BenchmarkFactor(b *testing.B) {
 func BenchmarkRefactor(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: AMD(m.P)})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -366,7 +421,7 @@ func BenchmarkRefactor(b *testing.B) {
 func BenchmarkSolve(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	m := randomSPDish(rng, 2000, 10000)
-	f, err := Factor(m, Options{ColPerm: RCM(m.P)})
+	f, err := Factor(m, Options{ColPerm: AMD(m.P)})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -17,13 +17,18 @@ import (
 // tool-specific payload; values marshal with encoding/json, so integer
 // counters and time.Duration fields (nanoseconds) round-trip bit-exactly.
 type Manifest struct {
-	Tool       string                    `json:"tool"`
-	CreatedAt  time.Time                 `json:"created_at"`
-	Host       string                    `json:"host,omitempty"`
-	Provenance Provenance                `json:"provenance"`
-	Config     map[string]any            `json:"config,omitempty"`
-	Sections   map[string]any            `json:"sections,omitempty"`
-	MetricSnap map[string]map[string]any `json:"metrics,omitempty"`
+	Tool       string     `json:"tool"`
+	CreatedAt  time.Time  `json:"created_at"`
+	Host       string     `json:"host,omitempty"`
+	Provenance Provenance `json:"provenance"`
+	// LUOrdering names the sparse LU's column ordering and LUFillRatio is
+	// nnz(L+U)/nnz(J) of the run's first forward factorization: the
+	// numeric plan a run used and the fill it cost on this circuit.
+	LUOrdering  string                    `json:"lu_ordering,omitempty"`
+	LUFillRatio float64                   `json:"lu_fill_ratio,omitempty"`
+	Config      map[string]any            `json:"config,omitempty"`
+	Sections    map[string]any            `json:"sections,omitempty"`
+	MetricSnap  map[string]map[string]any `json:"metrics,omitempty"`
 }
 
 // NewManifest returns a manifest stamped with the tool name, hostname,

@@ -237,12 +237,14 @@ func (g *Gauge) Value() float64 {
 
 // WritePrometheus renders every family in Prometheus text exposition
 // format (version 0.0.4), families sorted by name, series in creation
-// order.
+// order. The registry lock is held throughout: a series registered during
+// the scrape writes the family's series map and order slice read here.
 func (r *Registry) WritePrometheus(b []byte) []byte {
 	if r == nil {
 		return b
 	}
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.fam))
 	for n := range r.fam {
 		names = append(names, n)
@@ -252,7 +254,6 @@ func (r *Registry) WritePrometheus(b []byte) []byte {
 	for i, n := range names {
 		fams[i] = r.fam[n]
 	}
-	r.mu.Unlock()
 
 	for _, f := range fams {
 		if f.help != "" {

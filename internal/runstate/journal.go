@@ -100,6 +100,13 @@ type Config struct {
 	Objectives []ObjectiveRec `json:"objectives"`
 	Params     []int          `json:"params"` // resolved parameter indices
 
+	// Numeric plan: the LU column ordering's name, a hash of the
+	// permutation it gave this circuit, and the pivot threshold. A run
+	// resumed under a different plan would mix roundings of two plans.
+	Ordering       string  `json:"ordering"`
+	PermHash       uint64  `json:"perm_hash"`
+	PivotThreshold float64 `json:"pivot_threshold"`
+
 	FsyncEvery int `json:"fsync_every"`
 }
 

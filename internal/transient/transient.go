@@ -211,6 +211,9 @@ type Stats struct {
 	Refactorizations int
 	StepsAccepted    int
 	StepsCut         int
+	// FillRatio is nnz(L+U)/nnz(J) of the first LU factorization, the
+	// ordering's fill on this circuit.
+	FillRatio float64
 }
 
 // runObs is the resolved telemetry bundle of one transient run. The zero
@@ -226,6 +229,7 @@ type runObs struct {
 	facts   *obs.Counter
 	stepSec *obs.Histogram
 	simTime *obs.Gauge
+	fill    *obs.Gauge
 }
 
 func newRunObs(o *obs.Observer) runObs {
@@ -243,6 +247,7 @@ func newRunObs(o *obs.Observer) runObs {
 		facts:   reg.Counter("masc_transient_factorizations_total", "LU factorizations plus pivot-reusing refactorizations."),
 		stepSec: reg.Histogram("masc_transient_step_seconds", "Wall time per timestep solve attempt.", obs.TimingBuckets()),
 		simTime: reg.Gauge("masc_transient_sim_time_seconds", "Simulation time reached by the forward analysis."),
+		fill:    reg.Gauge("masc_lu_fill_ratio", "nnz(L+U)/nnz(J) of the first forward LU factorization."),
 	}
 }
 
@@ -302,6 +307,9 @@ func (s *solver) factorize() error {
 		return err
 	}
 	s.st.Factorizations++
+	if s.st.FillRatio == 0 {
+		s.st.FillRatio = float64(f.LNNZ()+f.UNNZ()) / float64(s.J.P.NNZ())
+	}
 	s.fact = f
 	return nil
 }
@@ -506,6 +514,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.facts.Add(float64(dcStats.Factorizations + dcStats.Refactorizations))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(opt.TStart)
+			ro.fill.Set(dcStats.FillRatio)
 			ro.tr.Emit(obs.Event{Step: 0, Phase: "dc", T: opt.TStart, Dur: d,
 				Key: "iters", N: int64(dcStats.NewtonIters)})
 		}
@@ -666,6 +675,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			ro.facts.Add(float64(res.Stats.Factorizations + res.Stats.Refactorizations - factsBefore))
 			ro.stepSec.Observe(d.Seconds())
 			ro.simTime.Set(tNext)
+			ro.fill.Set(res.Stats.FillRatio)
 			ro.tr.Emit(obs.Event{Step: step, Phase: "solve", T: tNext, Dur: d,
 				Key: "iters", N: int64(iters)})
 		}

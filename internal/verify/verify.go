@@ -34,7 +34,8 @@ type Options struct {
 	FDChecks int
 	// FDTol is the finite-difference relative tolerance (default 1e-6).
 	FDTol float64
-	// DirectTol is the adjoint-vs-direct relative tolerance (default 1e-4).
+	// DirectTol is the adjoint-vs-direct relative tolerance (default
+	// DefaultDirectTol).
 	// This layer compares two exact derivatives of the same discrete
 	// system, but both pass through LU solves of J = G + C/h, so the
 	// achievable agreement is cond(J)·eps — on stiff RLC draws that can
@@ -48,6 +49,9 @@ type Options struct {
 	Logf func(format string, args ...interface{})
 }
 
+// DefaultDirectTol is the default Options.DirectTol.
+const DefaultDirectTol = 1e-4
+
 func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
@@ -56,7 +60,7 @@ func (o Options) withDefaults() Options {
 		o.FDTol = 1e-6
 	}
 	if o.DirectTol == 0 {
-		o.DirectTol = 1e-4
+		o.DirectTol = DefaultDirectTol
 	}
 	return o
 }
@@ -477,17 +481,28 @@ func verifyDirect(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 		rep.failf("direct method: %v", err)
 		return
 	}
-	scales := objScales(dense.Sens.DOdp)
-	pscales := paramScales(dense.Sens.DOdp)
-	params := bt.Ckt.Params()
-	noise := make([]float64, len(bt.Objectives))
-	for o := range bt.Objectives {
-		noise[o] = objNoiseScale(dense.Tran, bt.Objectives[o])
+	e, o, k := SensitivityErr(bt.Ckt, dense.Tran, bt.Objectives, dense.Sens.Params, dense.Sens.DOdp, dir.DOdp)
+	rep.MaxDirectErr = e
+	if e > opt.DirectTol {
+		rep.failf("direct vs adjoint: obj %d param %d: %g vs %g (rel %.3g > %g)",
+			o, k, dense.Sens.DOdp[o][k], dir.DOdp[o][k], e, opt.DirectTol)
 	}
+}
+
+// SensitivityErr compares two computations of the same discrete derivative
+// dO/dp under the harness's noise gates and returns the largest relative
+// disagreement with the (objective, column) entry where it occurs. want is
+// the reference: it and its trajectory tr set the noise floors. Column k of
+// both matrices is parameter params[k] of ckt.
+func SensitivityErr(ckt *masc.Circuit, tr *masc.TransientResult, objs []masc.Objective, params []int, want, got [][]float64) (worst float64, obj, col int) {
+	scales := objScales(want)
+	pscales := paramScales(want)
+	all := ckt.Params()
 	const eps = 2.220446049250313e-16
-	for o := range dense.Sens.DOdp {
-		for k := range dense.Sens.DOdp[o] {
-			ad, dv := dense.Sens.DOdp[o][k], dir.DOdp[o][k]
+	for o := range want {
+		noise := objNoiseScale(tr, objs[o])
+		for k := range want[o] {
+			a, b := want[o][k], got[o][k]
 			// Elasticity gate: if moving the parameter by its own full
 			// magnitude changes the objective by less than ~1000 ulps of the
 			// objective's noise scale, the entry is below what either method
@@ -495,20 +510,15 @@ func verifyDirect(c *Case, opt Options, rep *CaseReport, dense *masc.Run) {
 			// elasticity 1e-15, pure cancellation residue on both sides. A
 			// genuine adjoint bug moves entries with elasticity many orders
 			// above this (the pivot-reuse bug sat at ~1e-3 · |O|).
-			if math.Max(math.Abs(ad), math.Abs(dv))*math.Abs(params[k].Get()) < 1000*eps*noise[o] {
+			if math.Max(math.Abs(a), math.Abs(b))*math.Abs(all[params[k]].Get()) < 1000*eps*noise {
 				continue
 			}
-			e := relErr(ad, dv, math.Max(scales[o], pscales[k]))
-			if e > rep.MaxDirectErr {
-				rep.MaxDirectErr = e
-			}
-			if e > opt.DirectTol {
-				rep.failf("direct vs adjoint: obj %d param %d: %g vs %g (rel %.3g > %g)",
-					o, k, dense.Sens.DOdp[o][k], dir.DOdp[o][k], e, opt.DirectTol)
-				return
+			if e := relErr(a, b, math.Max(scales[o], pscales[k])); e > worst {
+				worst, obj, col = e, o, k
 			}
 		}
 	}
+	return worst, obj, col
 }
 
 // verifyFD cross-checks a parameter subset against central finite

@@ -43,6 +43,7 @@ import (
 	"masc/internal/device"
 	"masc/internal/faultinject"
 	"masc/internal/jactensor"
+	"masc/internal/lu"
 	"masc/internal/netlist"
 	"masc/internal/obs"
 	"masc/internal/obs/span"
@@ -131,6 +132,10 @@ const (
 	MethodBE   = transient.MethodBE
 	MethodTrap = transient.MethodTrap
 )
+
+// LUOrdering names the column ordering every sparse LU factorization uses;
+// journals and run manifests record it.
+const LUOrdering = lu.Ordering
 
 // NewBuilder returns an empty circuit builder.
 func NewBuilder() *Builder { return circuit.NewBuilder() }

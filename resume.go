@@ -2,11 +2,13 @@ package masc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math"
 
 	"masc/internal/adjoint"
+	"masc/internal/lu"
 	"masc/internal/runstate"
 	"masc/internal/sparse"
 	"masc/internal/transient"
@@ -21,6 +23,12 @@ var (
 	// SimOptions.FetchStallTimeout expires waiting for one Jacobian fetch.
 	ErrFetchStalled = adjoint.ErrFetchStalled
 )
+
+// ErrPlanMismatch is returned by Resume when the journal was written under a
+// different numeric plan — LU ordering, permutation or pivot threshold —
+// than this build would use, or records none. Resuming it would mix the
+// roundings of two plans in one set of sensitivities.
+var ErrPlanMismatch = errors.New("masc: numeric plan mismatch")
 
 // DefaultJournalFsyncEvery is the default journal fsync cadence
 // (checkpoints per fsync); see SimOptions.JournalFsyncEvery.
@@ -63,6 +71,28 @@ func CircuitHash(ckt *Circuit) uint64 {
 		u64(math.Float64bits(pars[i].Get()))
 	}
 	return h.Sum64()
+}
+
+// permHash fingerprints a column permutation (FNV-1a over its entries).
+func permHash(perm []int32) uint64 {
+	h := fnv.New64a()
+	var buf [4]byte
+	for _, v := range perm {
+		binary.LittleEndian.PutUint32(buf[:], uint32(v))
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// checkPlan refuses a journal whose numeric plan is not the one this build
+// uses on ckt.
+func checkPlan(ckt *Circuit, cfg *runstate.Config) error {
+	ph := permHash(ckt.JPerm())
+	if cfg.Ordering != LUOrdering || cfg.PermHash != ph || cfg.PivotThreshold != lu.DefaultPivotThreshold {
+		return fmt.Errorf("%w: journal records ordering %q, permutation %#x, pivot threshold %g; this build uses %q, %#x, %g",
+			ErrPlanMismatch, cfg.Ordering, cfg.PermHash, cfg.PivotThreshold, LUOrdering, ph, lu.DefaultPivotThreshold)
+	}
+	return nil
 }
 
 // journalConfig freezes the resolved plan into the journal's config record:
@@ -116,6 +146,10 @@ func (plan *runPlan) journalConfig(ckt *Circuit, opt *SimOptions) *runstate.Conf
 		Objectives: objs,
 		Params:     params,
 
+		Ordering:       LUOrdering,
+		PermHash:       permHash(ckt.JPerm()),
+		PivotThreshold: lu.DefaultPivotThreshold,
+
 		FsyncEvery: opt.JournalFsyncEvery,
 	}
 }
@@ -161,6 +195,9 @@ func Resume(ckt *Circuit, journalPath string, opt SimOptions) (*Run, error) {
 	if want := CircuitHash(ckt); cfg.CircuitHash != want {
 		return nil, fmt.Errorf("masc: journal %s records circuit hash %#x, this circuit hashes to %#x: refusing to resume against a different circuit",
 			journalPath, cfg.CircuitHash, want)
+	}
+	if err := checkPlan(ckt, cfg); err != nil {
+		return nil, fmt.Errorf("masc: resume %s: %w", journalPath, err)
 	}
 	objectives := make([]Objective, len(cfg.Objectives))
 	for i, o := range cfg.Objectives {

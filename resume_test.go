@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"masc/internal/blobframe"
+	"masc/internal/runstate"
 )
 
 // journalFrameEnds scans a journal's frame boundaries: every frame end is a
@@ -173,6 +174,58 @@ func TestResumeRejectsForeignCircuit(t *testing.T) {
 	}
 	if _, err := Resume(ckt, path, SimOptions{}); err != nil {
 		t.Fatalf("resume rejected the original circuit: %v", err)
+	}
+}
+
+// TestResumeRejectsPlanMismatch: a journal whose numeric plan — ordering,
+// permutation hash, pivot threshold — differs from this build's, or that
+// records none (as journals written before the plan was recorded do), is
+// refused with ErrPlanMismatch instead of resumed under mixed roundings.
+func TestResumeRejectsPlanMismatch(t *testing.T) {
+	ckt, _, obj := buildTestCircuit(t)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.journal")
+	if _, err := Simulate(ckt, SimOptions{TStep: 2e-6, TStop: 5e-5, Journal: path},
+		[]Objective{obj}, nil); err != nil {
+		t.Fatal(err)
+	}
+	rcv, err := runstate.Recover(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		tamper func(c *runstate.Config)
+	}{
+		{"untampered", func(*runstate.Config) {}},
+		{"ordering", func(c *runstate.Config) { c.Ordering = "rcm" }},
+		{"perm_hash", func(c *runstate.Config) { c.PermHash ^= 1 }},
+		{"pivot_threshold", func(c *runstate.Config) { c.PivotThreshold = 0.5 }},
+		{"missing", func(c *runstate.Config) { c.Ordering, c.PermHash, c.PivotThreshold = "", 0, 0 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := rcv.Config
+			tc.tamper(&cfg)
+			jp := filepath.Join(dir, tc.name+".journal")
+			w, err := runstate.Create(jp, &cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = Resume(ckt, jp, SimOptions{})
+			if tc.name == "untampered" {
+				if err != nil {
+					t.Fatalf("resume rejected its own plan: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrPlanMismatch) {
+				t.Fatalf("want ErrPlanMismatch, got %v", err)
+			}
+		})
 	}
 }
 
