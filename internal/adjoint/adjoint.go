@@ -203,6 +203,7 @@ type sweepObs struct {
 	paramSec  *obs.Counter
 	degraded  *obs.Counter
 	shards    *obs.Counter
+	luFalls   *obs.Counter
 	workers   *obs.Gauge
 	windows   *obs.Gauge
 	winSweep  *obs.Histogram
@@ -225,6 +226,7 @@ func newSweepObs(o *obs.Observer) sweepObs {
 		paramSec:  reg.Counter("masc_adjoint_param_seconds_total", "Parameter sensitivity (dF/dp) accumulation time."),
 		degraded:  reg.Counter("masc_store_degraded_total", "Reverse-sweep steps recovered by per-step recomputation after a storage failure."),
 		shards:    reg.Counter("masc_adjoint_param_shards_total", "Parameter-gradient shard tasks executed."),
+		luFalls:   reg.Counter("masc_lu_refactor_fallback_total", "Refactorizations abandoned for a fresh LU factorization, by reason.", "reason", "degraded"),
 		workers:   reg.Gauge("masc_adjoint_workers", "Worker count of the most recent adjoint sweep."),
 		windows:   reg.Gauge("masc_adjoint_windows", "Window count of the most recent adjoint sweep (1 = serial)."),
 		winSweep:  reg.Histogram("masc_adjoint_window_sweep_seconds", "Per-window reverse-sweep wall time.", obs.TimingBuckets()),

@@ -531,8 +531,12 @@ func (s *sweep) noteFetch(i int, wait, acq time.Duration, degraded bool) {
 // when it does not.
 func (s *sweep) factorize(j *sparse.Matrix) error {
 	if s.fact != nil {
-		if err := s.fact.Refactor(j); err == nil {
+		err := s.fact.Refactor(j)
+		if err == nil {
 			return nil
+		}
+		if errors.Is(err, lu.ErrPivotDegraded) {
+			s.so.luFalls.Inc()
 		}
 	}
 	f, err := lu.Factor(j, lu.Options{ColPerm: s.perm})

@@ -20,7 +20,9 @@ import (
 // baseline; OverheadPct is the slowdown of the journaled run against it.
 // Both sides pin FreshFactorPerStep (the pivot discipline every journaled
 // run uses), so the overhead isolates the journal's own encode + write +
-// fsync cost rather than the determinism tax.
+// fsync cost from the solver's. That discipline is nearly free now (a
+// pivot-checked refactorization, with lu.Factor only where the pivots
+// move), so the fixed fsync cost is a larger share of a faster forward.
 type JournalRow struct {
 	Dataset      string
 	Unknowns     int

@@ -1,10 +1,10 @@
 package lu
 
 // Clone returns an independent factorization that shares f's immutable
-// symbolic structure (column order, pivot order, fill pattern, and the
-// recorded refactor recipe) but owns private copies of the numeric factors
-// and scratch, so the clone and the original can Refactor and solve
-// concurrently from the same recorded state.
+// symbolic structure (column order, pivot order, and the fill pattern in
+// the topological order Refactor walks) but owns private copies of the
+// numeric factors and scratch, so the clone and the original can Refactor
+// and solve concurrently from the same recorded state.
 //
 // The windowed adjoint engine depends on this: each window's first
 // factorize must behave exactly as the serial sweep's would at that step,
@@ -22,16 +22,14 @@ func (f *LU) Clone() *LU {
 		tau: f.tau,
 		// Write-once in Factor, read-only in Refactor and the solves:
 		// shared between the original and every clone.
-		q:        f.q,
-		pinv:     f.pinv,
-		prow:     f.prow,
-		lp:       f.lp,
-		lrow:     f.lrow,
-		up:       f.up,
-		uk:       f.uk,
-		topoPtr:  f.topoPtr,
-		topoRow:  f.topoRow,
-		topoDest: f.topoDest,
+		q:    f.q,
+		pinv: f.pinv,
+		prow: f.prow,
+		lp:   f.lp,
+		lrow: f.lrow,
+		lpiv: f.lpiv,
+		up:   f.up,
+		uk:   f.uk,
 		// Overwritten by Refactor: private copies.
 		lx: append([]float64(nil), f.lx...),
 		ux: append([]float64(nil), f.ux...),

@@ -58,24 +58,23 @@ type LU struct {
 	prow []int32 // prow[k] = original row pivoted at step k
 
 	// L columns: original row indices; the implicit unit diagonal is NOT
-	// stored. lrow holds original rows r with pinv[r] > k.
+	// stored. lrow holds original rows r with pinv[r] > k, in the DFS
+	// topological order of column k's reach.
 	lp   []int32
 	lrow []int32
 	lx   []float64
+	// lpiv[k] is where column k's pivot row sat among its L entries in
+	// that topological order: rows lrow[lp[k]:lpiv[k]] preceded it.
+	// RefactorChecked replays Factor's argmax tie-breaking with it.
+	lpiv []int32
 
-	// U columns: pivot-step indices k < j, sorted ascending; diagonal in ud.
+	// U columns: pivot-step indices k < j in the DFS topological order of
+	// column j's reach, the order Refactor applies their updates in;
+	// diagonal in ud.
 	up []int32
 	uk []int32
 	ux []float64
 	ud []float64
-
-	// Recorded numeric recipe for Refactor: per column, the reach in
-	// topological order (original rows) and each node's destination:
-	// >= 0: index into ux (U node; k = pinv[row]); -1: pivot; -2..: L node
-	// encoded as -(lxIndex+2).
-	topoPtr  []int32
-	topoRow  []int32
-	topoDest []int32
 
 	w    []float64 // workspace, len n, zero outside active reach
 	mark []int32   // DFS visit stamp per original row
@@ -114,18 +113,18 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 		return nil, fmt.Errorf("lu: column permutation length %d, want %d", len(q), n)
 	}
 	f := &LU{
-		n:       n,
-		pat:     a.P,
-		tau:     tau,
-		q:       q,
-		pinv:    make([]int32, n),
-		prow:    make([]int32, n),
-		lp:      make([]int32, 1, n+1),
-		up:      make([]int32, 1, n+1),
-		ud:      make([]float64, n),
-		w:       make([]float64, n),
-		mark:    make([]int32, n),
-		topoPtr: make([]int32, 1, n+1),
+		n:    n,
+		pat:  a.P,
+		tau:  tau,
+		q:    q,
+		pinv: make([]int32, n),
+		prow: make([]int32, n),
+		lp:   make([]int32, 1, n+1),
+		lpiv: make([]int32, 0, n),
+		up:   make([]int32, 1, n+1),
+		ud:   make([]float64, n),
+		w:    make([]float64, n),
+		mark: make([]int32, n),
 	}
 	for i := range f.pinv {
 		f.pinv[i] = -1
@@ -178,13 +177,8 @@ func (f *LU) dfsReach(csc *sparse.CSCView, c int32) {
 			}
 		}
 	}
-	// f.post is a valid topological order (children recorded before
-	// parents), which is the order the sparse triangular solve needs when
-	// processed from the END: we want dependencies processed first, and a
-	// node's dependencies (the L-columns that update it) are its DFS
-	// descendants... For the left-looking update we must process U nodes so
-	// that a node is finalized before its column updates others. Reverse
-	// postorder gives that.
+	// f.post is a postorder (children first); reversed, it is a topological
+	// order in which every node comes after the L columns that update it.
 	for i, j := 0, len(f.post)-1; i < j; i, j = i+1, j-1 {
 		f.post[i], f.post[j] = f.post[j], f.post[i]
 	}
@@ -236,22 +230,19 @@ func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error 
 	f.prow[j] = pivot
 	f.ud[j] = d
 
-	// Collect U entries (pivoted rows) and L entries (remaining rows),
-	// recording the refactor recipe in DFS topological order. Entry order
-	// within a column is irrelevant to the solves: both substitution
-	// directions only require whole columns to be processed in pivot order.
+	// Collect U entries (pivoted rows) and L entries (remaining rows) in
+	// DFS topological order. The solves only need whole columns processed
+	// in pivot order, but Refactor replays this column's updates straight
+	// off uk, so the order is part of the recorded structure.
 	for _, node := range f.post {
-		f.topoRow = append(f.topoRow, node)
 		k := f.pinv[node]
 		switch {
 		case node == pivot:
-			f.topoDest = append(f.topoDest, -1)
+			f.lpiv = append(f.lpiv, int32(len(f.lrow)))
 		case k >= 0 && k < j:
-			f.topoDest = append(f.topoDest, int32(len(f.uk)))
 			f.uk = append(f.uk, k)
 			f.ux = append(f.ux, f.w[node])
 		default: // unpivoted → L
-			f.topoDest = append(f.topoDest, -(int32(len(f.lrow)) + 2))
 			f.lrow = append(f.lrow, node)
 			f.lx = append(f.lx, f.w[node]/d)
 		}
@@ -259,73 +250,112 @@ func (f *LU) factorColumn(a *sparse.Matrix, csc *sparse.CSCView, j int32) error 
 	}
 	f.lp = append(f.lp, int32(len(f.lrow)))
 	f.up = append(f.up, int32(len(f.uk)))
-	f.topoPtr = append(f.topoPtr, int32(len(f.topoRow)))
 	return nil
 }
 
 // Refactor recomputes the numeric factors for a matrix with the same
 // pattern, reusing the recorded pivot order and symbolic structure. If a
 // recorded pivot has collapsed numerically it returns ErrPivotDegraded.
-func (f *LU) Refactor(a *sparse.Matrix) error {
+// With the same pivots it performs exactly Factor's floating-point
+// operations in Factor's order, so its factors are bit-identical to those
+// of a Factor call that picks the recorded pivots.
+func (f *LU) Refactor(a *sparse.Matrix) error { return f.refactor(a, false) }
+
+// RefactorChecked refactors a on the recorded structure and reports whether
+// Factor(a) with the Options of the recorded factorization would choose
+// exactly the recorded pivots. When it returns true the factors are
+// bit-identical to that Factor's. When it returns false (including a zero,
+// NaN or infinite pivot, or a pattern other than Factor's) the numeric
+// factors are unusable and the caller must Factor afresh; the workspace is
+// left clean either way.
+func (f *LU) RefactorChecked(a *sparse.Matrix) bool { return f.refactor(a, true) == nil }
+
+// errRepivot is refactor's verdict that Factor would pivot differently.
+var errRepivot = errors.New("lu: Factor would choose different pivots")
+
+// refactor is the kernel behind Refactor and RefactorChecked. It walks the
+// factor's own storage column by column: U entries in their recorded
+// topological order, then the pivot, then one pass over the L entries that
+// scales and clears them while taking the magnitudes the pivot tests need.
+// Without check the test is the growth guard; with check it is Factor's
+// pivot rule replayed on the fresh values.
+func (f *LU) refactor(a *sparse.Matrix, check bool) error {
 	if a.P != f.pat {
 		return errors.New("lu: Refactor requires the pattern used by Factor")
 	}
 	csc := a.P.CSC()
-	for j := 0; j < f.n; j++ {
+	w, lp, lrow, lx := f.w, f.lp, f.lrow, f.lx
+	for j := int32(0); j < int32(f.n); j++ {
 		c := f.q[j]
 		for p := csc.ColPtr[c]; p < csc.ColPtr[c+1]; p++ {
-			f.w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
+			w[csc.RowIdx[p]] = a.Val[csc.Slot[p]]
 		}
-		lo, hi := f.topoPtr[j], f.topoPtr[j+1]
-		// Apply the recorded updates in the recorded topological order.
-		for t := lo; t < hi; t++ {
-			node := f.topoRow[t]
-			k := f.pinv[node]
-			if node == f.prow[j] || k > int32(j) {
-				continue // pivot or L node: no update from it
-			}
-			ukj := f.w[node]
-			dst := f.topoDest[t]
-			f.ux[dst] = ukj
+		// Topological order makes each U value final when it is reached:
+		// every L column that updates its row has already been applied.
+		for p := f.up[j]; p < f.up[j+1]; p++ {
+			k := f.uk[p]
+			r := f.prow[k]
+			ukj := w[r]
+			w[r] = 0
+			f.ux[p] = ukj
 			if ukj != 0 {
-				for p := f.lp[k]; p < f.lp[k+1]; p++ {
-					f.w[f.lrow[p]] -= ukj * f.lx[p]
+				rows := lrow[lp[k]:lp[k+1]]
+				xs := lx[lp[k]:lp[k+1]]
+				xs = xs[:len(rows)] // lets the compiler drop xs's bounds check
+				for i, row := range rows {
+					w[row] -= ukj * xs[i]
 				}
 			}
 		}
-		d := f.w[f.prow[j]]
-		bad := d == 0 || math.IsNaN(d) || math.IsInf(d, 0)
-		if !bad {
+		pr := f.prow[j]
+		d, wc := w[pr], w[c]
+		w[pr] = 0
+		// The L pass in two halves around the pivot's topological slot:
+		// Factor's argmax keeps the first of equal magnitudes, so a row
+		// before the pivot must be strictly smaller, a row after it only no
+		// larger.
+		lo, mid, hi := lp[j], f.lpiv[j], lp[j+1]
+		before := scaleL(w, lrow[lo:mid], lx[lo:mid], d)
+		after := scaleL(w, lrow[mid:hi], lx[mid:hi], d)
+		ad := math.Abs(d)
+		if check {
+			// Factor takes the first largest unpivoted row, then prefers
+			// the structural diagonal row c if |w_c| ≥ τ·pmax. A row c
+			// pivoted later but outside this reach has w_c = 0 and never
+			// qualifies once pmax > 0.
+			pmax := max(before, ad, after)
+			ok := ad > before && ad >= after
+			if f.pinv[c] >= j && math.Abs(wc) >= f.tau*pmax {
+				ok = c == pr
+			}
+			if !ok || pmax == 0 || math.IsInf(pmax, 0) {
+				return errRepivot
+			}
+		} else if d == 0 || math.IsNaN(d) || math.IsInf(d, 0) ||
+			max(before, after) > refactorGrowthLimit*ad {
 			// Pivot-growth guard: the recorded pivot must still dominate its
 			// column well enough that the L entries stay bounded.
-			maxw := 0.0
-			for t := lo; t < hi; t++ {
-				if f.topoDest[t] < -1 {
-					if a := math.Abs(f.w[f.topoRow[t]]); a > maxw {
-						maxw = a
-					}
-				}
-			}
-			bad = maxw > refactorGrowthLimit*math.Abs(d)
-		}
-		if bad {
-			// Clear workspace before bailing out.
-			for t := lo; t < hi; t++ {
-				f.w[f.topoRow[t]] = 0
-			}
 			return ErrPivotDegraded
 		}
 		f.ud[j] = d
-		for t := lo; t < hi; t++ {
-			node := f.topoRow[t]
-			dst := f.topoDest[t]
-			if dst < -1 {
-				f.lx[-(dst + 2)] = f.w[node] / d
-			}
-			f.w[node] = 0
-		}
 	}
 	return nil
+}
+
+// scaleL stores w[r]/d for each row r of an L column segment into xs and
+// clears w there, returning the largest |w[r]| seen.
+func scaleL(w []float64, rows []int32, xs []float64, d float64) float64 {
+	xs = xs[:len(rows)]
+	m := 0.0
+	for i, r := range rows {
+		v := w[r]
+		w[r] = 0
+		if av := math.Abs(v); av > m {
+			m = av
+		}
+		xs[i] = v / d
+	}
+	return m
 }
 
 // Solve solves A·x = b in place: on return b holds x.

@@ -163,6 +163,7 @@ func TestPivotingIndefinite(t *testing.T) {
 
 func TestRefactorMatchesFactor(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	samePivots := 0
 	for iter := 0; iter < 15; iter++ {
 		n := 10 + rng.Intn(40)
 		m := randomSPDish(rng, n, 4*n)
@@ -182,6 +183,19 @@ func TestRefactorMatchesFactor(t *testing.T) {
 		if err := f.Refactor(m2); err != nil {
 			t.Fatalf("iter %d: refactor: %v", iter, err)
 		}
+		// Refactor performs Factor's operations in Factor's order, so
+		// where a fresh Factor keeps the recorded pivots the factors agree
+		// bit for bit.
+		g, err := Factor(m2, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(g.prow, f.prow) {
+			samePivots++
+			if !sameFactors(f, g) {
+				t.Fatalf("iter %d: Refactor factors differ from Factor's on the same pivots", iter)
+			}
+		}
 		b := make([]float64, n)
 		want := make([]float64, n)
 		for i := range b {
@@ -198,6 +212,9 @@ func TestRefactorMatchesFactor(t *testing.T) {
 		if r := residualT(m2, bt, want); r > 1e-9 {
 			t.Fatalf("iter %d: refactor transpose residual %g", iter, r)
 		}
+	}
+	if samePivots == 0 {
+		t.Fatal("no iteration kept its pivots: the bit-identity check never ran")
 	}
 }
 

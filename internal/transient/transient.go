@@ -99,12 +99,14 @@ type Options struct {
 	// non-nil error aborts the run with the partial trajectory.
 	AfterStep func(step int, t, h, nextH float64, cuts int, x []float64) error
 
-	// FreshFactorPerStep drops the LU pivot recipe before every step
-	// attempt, so each solve factors from scratch. Pivot reuse chains
+	// FreshFactorPerStep makes every step attempt's first factorization
+	// exactly what a fresh lu.Factor would give. Pivot reuse chains
 	// factorization state across the whole step history, which a
 	// checkpoint cannot capture; journaled runs set this so a resumed run
-	// takes bit-identical Newton trajectories, trading a few percent of
-	// forward time for replayability.
+	// takes bit-identical Newton trajectories. The recorded pivots are
+	// still tried first: lu.RefactorChecked keeps them only when Factor
+	// would choose them too, so the discipline costs a real Factor only on
+	// the steps where the pivots move.
 	FreshFactorPerStep bool
 
 	// NewtonBudget, if positive, bounds the wall time one integration step
@@ -204,13 +206,21 @@ const (
 	MethodTrap Method = "trap"
 )
 
-// Stats aggregates solver work counters.
+// Stats aggregates solver work counters. Factorizations counts only real
+// lu.Factor calls (fresh pivot searches); Refactorizations counts numeric
+// refactorizations on recorded pivots, including FreshFactorPerStep's
+// checked ones that Factor would have reproduced bit for bit. Their sum is
+// the number of Jacobians factorized.
 type Stats struct {
 	NewtonIters      int
 	Factorizations   int
 	Refactorizations int
 	StepsAccepted    int
 	StepsCut         int
+	// PivotFallbacks counts refactorizations abandoned for a fresh
+	// lu.Factor: recorded pivots that degraded (lu.ErrPivotDegraded) plus
+	// FreshFactorPerStep checks where Factor would pivot differently.
+	PivotFallbacks int
 	// FillRatio is nnz(L+U)/nnz(J) of the first LU factorization, the
 	// ordering's fill on this circuit.
 	FillRatio float64
@@ -275,33 +285,55 @@ type solver struct {
 	dx   []float64 // line-search direction
 	xTry []float64 // line-search trial point
 	st   *Stats
+	// repivot makes the next factorize keep the recorded pivots only if
+	// lu.Factor would choose them (FreshFactorPerStep).
+	repivot bool
+	// masc_lu_refactor_fallback_total series, by reason.
+	degradedFalls, repivotFalls *obs.Counter
 }
 
 func newSolver(ckt *circuit.Circuit, opt Options, st *Stats) *solver {
+	reg := opt.Obs.Registry()
+	const fallbackHelp = "Refactorizations abandoned for a fresh LU factorization, by reason."
 	return &solver{
-		ckt:  ckt,
-		ev:   circuit.NewEval(ckt),
-		opt:  opt,
-		J:    sparse.NewMatrix(ckt.JPat),
-		perm: ckt.JPerm(),
-		res:  make([]float64, ckt.N),
-		st:   st,
+		ckt:           ckt,
+		ev:            circuit.NewEval(ckt),
+		opt:           opt,
+		J:             sparse.NewMatrix(ckt.JPat),
+		perm:          ckt.JPerm(),
+		res:           make([]float64, ckt.N),
+		st:            st,
+		degradedFalls: reg.Counter("masc_lu_refactor_fallback_total", fallbackHelp, "reason", "degraded"),
+		repivotFalls:  reg.Counter("masc_lu_refactor_fallback_total", fallbackHelp, "reason", "repivot"),
 	}
 }
 
-// factorize (re)factors s.J, falling back to a fresh pivot search when the
-// recorded pivots degrade.
+// factorize (re)factors s.J on the recorded pivots, falling back to a fresh
+// pivot search when they degrade or, under repivot, when Factor would
+// choose others.
 func (s *solver) factorize() error {
 	if s.fact != nil {
-		err := s.fact.Refactor(s.J)
-		if err == nil {
-			s.st.Refactorizations++
-			return nil
+		if s.repivot {
+			s.repivot = false
+			if s.fact.RefactorChecked(s.J) {
+				s.st.Refactorizations++
+				return nil
+			}
+			s.repivotFalls.Inc()
+		} else {
+			err := s.fact.Refactor(s.J)
+			if err == nil {
+				s.st.Refactorizations++
+				return nil
+			}
+			if !errors.Is(err, lu.ErrPivotDegraded) {
+				return err
+			}
+			s.degradedFalls.Inc()
 		}
-		if !errors.Is(err, lu.ErrPivotDegraded) {
-			return err
-		}
+		s.st.PivotFallbacks++
 	}
+	s.repivot = false
 	f, err := lu.Factor(s.J, lu.Options{ColPerm: s.perm})
 	if err != nil {
 		return err
@@ -578,7 +610,7 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 			attemptStart = time.Now()
 		}
 		if opt.FreshFactorPerStep {
-			s.fact = nil
+			s.repivot = true
 		}
 		ssp := ro.rec.Start(fsp.ID(), span.Step, step)
 		ro.rec.SetScope(ssp.ID())
