@@ -69,6 +69,16 @@ func (o *Objective) effStep(n int) int {
 	return o.Step
 }
 
+// topStep is the highest step at which the objective's ∂O/∂x source enters
+// (n for an Integral). Above it the objective's adjoint λ is ±0, because the
+// recurrence only ever feeds λ_{i+1} forward into step i.
+func (o *Objective) topStep(n int) int {
+	if o.Integral {
+		return n
+	}
+	return o.effStep(n)
+}
+
 // sourceAt returns the ∂O/∂x_i[Node] adjoint source weight at step i.
 func (o *Objective) sourceAt(i, n int, h float64) float64 {
 	if o.Integral {
@@ -150,6 +160,10 @@ type Options struct {
 	// remaining windows.
 	WindowDone func(j, lo, hi int, rows [][]float64, degraded []int) error
 
+	// allLive makes every objective live at every step, the sweep before
+	// live-objective skipping; tests compare the two bit for bit.
+	allLive bool
+
 	// Completed injects journaled window progress into the windowed
 	// engine: a window listed here has its contribution rows copied in
 	// and its sweep skipped (a completed seeding sweep still descends to
@@ -204,6 +218,7 @@ type sweepObs struct {
 	degraded  *obs.Counter
 	shards    *obs.Counter
 	luFalls   *obs.Counter
+	objSolves *obs.Counter
 	workers   *obs.Gauge
 	windows   *obs.Gauge
 	winSweep  *obs.Histogram
@@ -227,6 +242,7 @@ func newSweepObs(o *obs.Observer) sweepObs {
 		degraded:  reg.Counter("masc_store_degraded_total", "Reverse-sweep steps recovered by per-step recomputation after a storage failure."),
 		shards:    reg.Counter("masc_adjoint_param_shards_total", "Parameter-gradient shard tasks executed."),
 		luFalls:   reg.Counter("masc_lu_refactor_fallback_total", "Refactorizations abandoned for a fresh LU factorization, by reason.", "reason", "degraded"),
+		objSolves: reg.Counter("masc_adjoint_objective_solves_total", "Adjoint systems solved: one per live objective per reverse-sweep step."),
 		workers:   reg.Gauge("masc_adjoint_workers", "Worker count of the most recent adjoint sweep."),
 		windows:   reg.Gauge("masc_adjoint_windows", "Window count of the most recent adjoint sweep (1 = serial)."),
 		winSweep:  reg.Histogram("masc_adjoint_window_sweep_seconds", "Per-window reverse-sweep wall time.", obs.TimingBuckets()),

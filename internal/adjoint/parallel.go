@@ -170,6 +170,14 @@ type sweep struct {
 	pendQ   [][]float64 // λ_{i+1}/h_{i+1} (dqdp regroup)
 	pendF   [][]float64 // ½λ_{i+1} (trapezoidal dfdp regroup)
 
+	// Live objectives: λ_o is ±0 at every step above top[o] (see topStep),
+	// so step i builds, solves, carries and accumulates only the objectives
+	// with top[o] ≥ i, listed in live; liveLam holds their λ buffers for
+	// the solve. Both are rebuilt in place at every step.
+	top     []int
+	live    []int
+	liveLam [][]float64
+
 	evs  []*circuit.Eval // per-worker parameter-sensitivity evaluators
 	accs []*device.SensAccum
 	tmps [][]float64 // per-worker Jᵀλ scratch (trapezoidal RHS builds)
@@ -208,6 +216,15 @@ func newSweep(ckt *circuit.Circuit, tr *transient.Result, src JacobianSource, ob
 		skipParamsAtOrBelow: -1,
 	}
 	s.hiStep, s.loStep = s.n, 0
+	s.top = make([]int, len(objs))
+	for o := range objs {
+		s.top[o] = objs[o].topStep(s.n)
+		if opt.allLive {
+			s.top[o] = s.n
+		}
+	}
+	s.live = make([]int, 0, len(objs))
+	s.liveLam = make([][]float64, 0, len(objs))
 	N := ckt.N
 	s.lam = make([][]float64, len(objs))
 	s.lamNext = make([][]float64, len(objs))
@@ -590,36 +607,46 @@ func (s *sweep) buildRHS(o, i int, J, C *sparse.Matrix, tmp []float64) {
 }
 
 // processStep consumes step i's Jacobian tensors: factorize, build and
-// solve the K adjoint systems, accumulate the parameter gradients, and
-// update the pend carries.
+// solve the adjoint systems of the live objectives, accumulate their
+// parameter gradients, and update their pend carries. Factorization runs at
+// every step, live objectives or not, so the pivot and fallback history is
+// the same whatever the objectives.
 func (s *sweep) processStep(i int, jv, cv []float64) error {
 	J := &sparse.Matrix{P: s.ckt.JPat, Val: jv}
 	C := &sparse.Matrix{P: s.ckt.CPat, Val: cv}
+	live, lams := s.live[:0], s.liveLam[:0]
+	for o, top := range s.top {
+		if top >= i {
+			live = append(live, o)
+			lams = append(lams, s.lam[o])
+		}
+	}
+	s.live, s.liveLam = live, lams
 
 	ssp := s.so.rec.Start(s.sweepSpan, span.Solve, i)
 	tSolve := time.Now()
 	var factErr error
-	if s.workers > 1 && len(s.objs) > 1 {
+	if s.workers > 1 && len(live) > 1 {
 		// Background workers build their RHS shards while the calling
 		// goroutine factorizes, then it builds shard 0 and joins.
 		for w := 1; w < s.workers; w++ {
 			w := w
 			s.pool.spawn(w, func() {
-				lo, hi := shard(w, s.workers, len(s.objs))
-				for o := lo; o < hi; o++ {
+				lo, hi := shard(w, s.workers, len(live))
+				for _, o := range live[lo:hi] {
 					s.buildRHS(o, i, J, C, s.tmps[w])
 				}
 			})
 		}
 		factErr = s.factorize(J)
-		lo, hi := shard(0, s.workers, len(s.objs))
-		for o := lo; o < hi; o++ {
+		lo, hi := shard(0, s.workers, len(live))
+		for _, o := range live[lo:hi] {
 			s.buildRHS(o, i, J, C, s.tmps[0])
 		}
 		s.pool.wait(s.workers - 1)
 	} else {
 		factErr = s.factorize(J)
-		for o := range s.objs {
+		for _, o := range live {
 			s.buildRHS(o, i, J, C, s.tmps[0])
 		}
 	}
@@ -628,18 +655,22 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 		return fmt.Errorf("adjoint: factor step %d: %w", i, factErr)
 	}
 	if s.opt.SingleRHS {
-		for o := range s.objs {
-			s.fact.SolveT(s.lam[o])
+		for _, lam := range lams {
+			s.fact.SolveT(lam)
 		}
 	} else {
-		s.fact.SolveTMulti(s.lam)
+		// The live count grows as the sweep descends: size the blocked
+		// kernel's scratch for all objectives once, not at every new count.
+		s.fact.ReserveMulti(len(s.objs))
+		s.fact.SolveTMulti(lams)
 	}
-	ssp.Attr("objs", int64(len(s.objs)))
+	ssp.Attr("objs", int64(len(live)))
 	ssp.End()
 	if s.so.on {
 		d := time.Since(tSolve)
 		s.res.Timing.FactorSolve += d
 		s.so.solveSec.AddDuration(d)
+		s.so.objSolves.Add(float64(len(live)))
 		s.so.tr.Emit(obs.Event{Step: i, Phase: "adjoint_solve", Dur: d})
 	} else {
 		s.res.Timing.FactorSolve += time.Since(tSolve)
@@ -652,8 +683,9 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 	// accumulation order serial too — so the merge is deterministic and the
 	// result bit-identical for every worker count. A seeding sweep skips
 	// this block below its bound (a window owns those steps); λ carries and
-	// the swap below still run, because seeds depend on them.
-	if i > s.skipParamsAtOrBelow {
+	// the swap below still run, because seeds depend on them. A step with no
+	// live objective has nothing to accumulate.
+	if i > s.skipParamsAtOrBelow && len(live) > 0 {
 		psp := s.so.rec.Start(s.sweepSpan, span.ParamEval, i)
 		tPar := time.Now()
 		xi, ti := s.tr.States[i], s.tr.Times[i]
@@ -676,7 +708,7 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 			for pk := lo; pk < hi; pk++ {
 				acc.Reset()
 				ev.ParamSens(s.params[pk], xi, ti, acc)
-				for o := range s.objs {
+				for _, o := range live {
 					contrib := 0.0
 					if i >= 1 {
 						invH := 1 / s.tr.Hs[i]
@@ -722,13 +754,15 @@ func (s *sweep) processStep(i int, jv, cv []float64) error {
 			s.so.paramSec.AddDuration(d)
 			s.so.shards.Add(float64(s.workers))
 			s.so.tr.Emit(obs.Event{Step: i, Phase: "param_eval", Dur: d})
-			s.so.steps.Inc()
 		} else {
 			s.res.Timing.ParamEval += time.Since(tPar)
 		}
 	}
+	if i > s.skipParamsAtOrBelow && s.so.on {
+		s.so.steps.Inc()
+	}
 
-	for o := range s.objs {
+	for _, o := range live {
 		if i >= 1 {
 			invH := 1 / s.tr.Hs[i]
 			for k, v := range s.lam[o] {

@@ -18,17 +18,22 @@ import (
 // workerCounts is the property-test sweep: serial, small, the machine
 // width, and oversubscribed. MASC_ADJOINT_WORKERS=a,b,c extends the list.
 func workerCounts(tb testing.TB) []int {
-	ws := []int{1, 2, runtime.NumCPU(), runtime.NumCPU() + 3}
-	if env := os.Getenv("MASC_ADJOINT_WORKERS"); env != "" {
-		for _, f := range strings.Split(env, ",") {
+	return withEnvCounts(tb, "MASC_ADJOINT_WORKERS", 1, 2, runtime.NumCPU(), runtime.NumCPU()+3)
+}
+
+// withEnvCounts returns base extended by the comma-separated counts in the
+// environment variable env (the CI race matrix sets them).
+func withEnvCounts(tb testing.TB, env string, base ...int) []int {
+	if v := os.Getenv(env); v != "" {
+		for _, f := range strings.Split(v, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(f))
 			if err != nil || n < 1 {
-				tb.Fatalf("MASC_ADJOINT_WORKERS: bad entry %q", f)
+				tb.Fatalf("%s: bad entry %q", env, f)
 			}
-			ws = append(ws, n)
+			base = append(base, n)
 		}
 	}
-	return ws
+	return base
 }
 
 // requireBitIdentical asserts two DOdp matrices match bit for bit.

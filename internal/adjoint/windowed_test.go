@@ -3,7 +3,6 @@ package adjoint
 import (
 	"errors"
 	"fmt"
-	"os"
 	"runtime"
 	"strconv"
 	"strings"
@@ -21,17 +20,7 @@ import (
 // stepsPlus is the trajectory step count for the oversubscribed entry.
 // MASC_ADJOINT_WINDOWS=a,b,c extends the list (the CI race matrix does).
 func windowCounts(tb testing.TB, stepsPlus int) []int {
-	ws := []int{1, 2, 3, runtime.NumCPU(), stepsPlus + 5}
-	if env := os.Getenv("MASC_ADJOINT_WINDOWS"); env != "" {
-		for _, f := range strings.Split(env, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				tb.Fatalf("MASC_ADJOINT_WINDOWS: bad entry %q", f)
-			}
-			ws = append(ws, n)
-		}
-	}
-	return ws
+	return withEnvCounts(tb, "MASC_ADJOINT_WINDOWS", 1, 2, 3, runtime.NumCPU(), stepsPlus+5)
 }
 
 // TestWindowedSweepBitIdentical is the tentpole property test: for every

@@ -51,10 +51,10 @@ type Stats struct {
 	AnchorBytes int64
 
 	// Tiered-store placement accounting (TieredStore only). The per-tier
-	// step/byte gauges snapshot the live placement at the last Stats or
-	// EndForward call; the counters accumulate over the run. BudgetBytes
-	// echoes the configured budget (0 = unlimited) so manifests record the
-	// constraint PeakResident was held to.
+	// step/byte gauges are the placement EndForward left (before it, the
+	// live placement at the Stats call); the counters accumulate over the
+	// run. BudgetBytes echoes the configured budget (0 = unlimited) so
+	// manifests record the constraint PeakResident was held to.
 	BudgetBytes         int64
 	TierHotSteps        int
 	TierCompressedSteps int

@@ -834,7 +834,12 @@ func (s *TieredStore) Release(step int) {
 func (s *TieredStore) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.snapshotTiersLocked()
+	// After EndForward the tiers keep its snapshot: the reverse sweep
+	// releases every step, so a live count taken after it reads 0 on every
+	// tier.
+	if !s.forwardDone {
+		s.snapshotTiersLocked()
+	}
 	st := s.stats
 	st.BudgetBytes = s.cfg.BudgetBytes
 	if s.spill != nil {

@@ -22,14 +22,15 @@ func (f *LU) Clone() *LU {
 		tau: f.tau,
 		// Write-once in Factor, read-only in Refactor and the solves:
 		// shared between the original and every clone.
-		q:    f.q,
-		pinv: f.pinv,
-		prow: f.prow,
-		lp:   f.lp,
-		lrow: f.lrow,
-		lpiv: f.lpiv,
-		up:   f.up,
-		uk:   f.uk,
+		q:     f.q,
+		pinv:  f.pinv,
+		prow:  f.prow,
+		lp:    f.lp,
+		lrow:  f.lrow,
+		lpiv:  f.lpiv,
+		lstep: f.lstep,
+		up:    f.up,
+		uk:    f.uk,
 		// Overwritten by Refactor: private copies.
 		lx: append([]float64(nil), f.lx...),
 		ux: append([]float64(nil), f.ux...),

@@ -30,6 +30,19 @@ func TestCloneRefactorMatchesOriginal(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := f.Clone()
+	// lstep is write-once structure: the clone shares it, and it indexes
+	// each L entry's pivot step.
+	if len(f.lstep) != len(f.lrow) || len(g.lstep) != len(f.lstep) {
+		t.Fatalf("lstep len %d (clone %d), want nnz(L) %d", len(f.lstep), len(g.lstep), len(f.lrow))
+	}
+	if len(f.lstep) > 0 && &g.lstep[0] != &f.lstep[0] {
+		t.Fatal("clone copied lstep instead of sharing it")
+	}
+	for p, r := range f.lrow {
+		if f.lstep[p] != f.pinv[r] {
+			t.Fatalf("lstep[%d] = %d, want pinv[lrow[%d]] = %d", p, f.lstep[p], p, f.pinv[r])
+		}
+	}
 
 	// Same next matrix through both: solves must agree bit for bit.
 	m2 := perturbed(m1, rng, 2)
@@ -50,6 +63,19 @@ func TestCloneRefactorMatchesOriginal(t *testing.T) {
 	for i := range x1 {
 		if math.Float64bits(x1[i]) != math.Float64bits(x2[i]) {
 			t.Fatalf("solve diverges at %d: %g vs %g", i, x1[i], x2[i])
+		}
+	}
+	// The clone's blocked transpose solve walks the shared lstep too.
+	bs := [][]float64{append([]float64(nil), rhs...), make([]float64, n)}
+	for i := range bs[1] {
+		bs[1][i] = rng.NormFloat64()
+	}
+	y1 := append([]float64(nil), bs[1]...)
+	f.SolveT(y1)
+	g.SolveTMulti(bs)
+	for i := range x1 {
+		if math.Float64bits(bs[0][i]) != math.Float64bits(x1[i]) || math.Float64bits(bs[1][i]) != math.Float64bits(y1[i]) {
+			t.Fatalf("clone SolveTMulti diverges from original SolveT at %d", i)
 		}
 	}
 

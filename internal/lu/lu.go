@@ -67,6 +67,9 @@ type LU struct {
 	// that topological order: rows lrow[lp[k]:lpiv[k]] preceded it.
 	// RefactorChecked replays Factor's argmax tie-breaking with it.
 	lpiv []int32
+	// lstep[p] = pinv[lrow[p]]: the pivot step of L entry p, so the
+	// transpose solves index their pivot-step workspace directly.
+	lstep []int32
 
 	// U columns: pivot-step indices k < j in the DFS topological order of
 	// column j's reach, the order Refactor applies their updates in;
@@ -134,6 +137,12 @@ func Factor(a *sparse.Matrix, opt Options) (*LU, error) {
 		if err := f.factorColumn(a, csc, int32(j)); err != nil {
 			return nil, fmt.Errorf("lu: column %d (original %d): %w", j, f.q[j], err)
 		}
+	}
+	// An L row is pivoted only in a later column, so its step is known once
+	// every column is done.
+	f.lstep = make([]int32, len(f.lrow))
+	for p, r := range f.lrow {
+		f.lstep[p] = f.pinv[r]
 	}
 	return f, nil
 }
@@ -361,14 +370,18 @@ func scaleL(w []float64, rows []int32, xs []float64, d float64) float64 {
 // Solve solves A·x = b in place: on return b holds x.
 func (f *LU) Solve(b []float64) {
 	n := f.n
-	y := f.w // reuse workspace; fully overwritten then consumed
+	y := f.w[:n] // reuse workspace; fully overwritten then consumed
+	b = b[:n]
 	// Forward solve L̂ y = P b, processing pivot steps in order.
 	for k := 0; k < n; k++ {
 		yk := b[f.prow[k]]
 		y[k] = yk
 		if yk != 0 {
-			for p := f.lp[k]; p < f.lp[k+1]; p++ {
-				b[f.lrow[p]] -= yk * f.lx[p]
+			lo, hi := f.lp[k], f.lp[k+1]
+			rows, xs := f.lrow[lo:hi], f.lx[lo:hi]
+			xs = xs[:len(rows)]
+			for i, r := range rows {
+				b[r] -= yk * xs[i]
 			}
 		}
 	}
@@ -377,14 +390,18 @@ func (f *LU) Solve(b []float64) {
 		xj := y[j] / f.ud[j]
 		y[j] = xj
 		if xj != 0 {
-			for p := f.up[j]; p < f.up[j+1]; p++ {
-				y[f.uk[p]] -= xj * f.ux[p]
+			lo, hi := f.up[j], f.up[j+1]
+			ks, xs := f.uk[lo:hi], f.ux[lo:hi]
+			xs = xs[:len(ks)]
+			for i, k := range ks {
+				y[k] -= xj * xs[i]
 			}
 		}
 	}
 	// Un-permute: x[q[j]] = x̂[j].
-	for j := 0; j < n; j++ {
-		b[f.q[j]] = y[j]
+	q := f.q[:n]
+	for j, qj := range q {
+		b[qj] = y[j]
 		y[j] = 0
 	}
 }
@@ -392,27 +409,33 @@ func (f *LU) Solve(b []float64) {
 // SolveT solves Aᵀ·x = b in place: on return b holds x.
 func (f *LU) SolveT(b []float64) {
 	n := f.n
-	z := f.w
+	z := f.w[:n]
+	b = b[:n]
 	// Forward solve Ûᵀ z = ĉ with ĉ[j] = b[q[j]].
 	for j := 0; j < n; j++ {
 		s := b[f.q[j]]
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			s -= f.ux[p] * z[f.uk[p]]
+		lo, hi := f.up[j], f.up[j+1]
+		ks, xs := f.uk[lo:hi], f.ux[lo:hi]
+		xs = xs[:len(ks)]
+		for i, k := range ks {
+			s -= xs[i] * z[k]
 		}
 		z[j] = s / f.ud[j]
 	}
 	// Back solve L̂ᵀ ŷ = z; x[prow[k]] = ŷ[k].
 	for k := n - 1; k >= 0; k-- {
 		s := z[k]
-		for p := f.lp[k]; p < f.lp[k+1]; p++ {
-			s -= f.lx[p] * z[f.pinv[f.lrow[p]]]
+		lo, hi := f.lp[k], f.lp[k+1]
+		steps, xs := f.lstep[lo:hi], f.lx[lo:hi]
+		xs = xs[:len(steps)]
+		for i, st := range steps {
+			s -= xs[i] * z[st]
 		}
 		z[k] = s
 	}
-	for k := 0; k < n; k++ {
-		b[f.prow[k]] = z[k]
-	}
-	for k := 0; k < n; k++ {
+	prow := f.prow[:n]
+	for k, r := range prow {
+		b[r] = z[k]
 		z[k] = 0
 	}
 }

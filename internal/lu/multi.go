@@ -27,6 +27,16 @@ func (f *LU) multiScratch(k int) (zs, ws []float64) {
 	return f.mw[:need], f.mb[:need]
 }
 
+// ReserveMulti sizes the multi-RHS workspaces for up to k right-hand sides,
+// so SolveMulti and SolveTMulti calls with any k' ≤ k allocate nothing. A
+// caller whose right-hand-side count grows call by call reserves its
+// maximum once instead of regrowing at every new count.
+func (f *LU) ReserveMulti(k int) {
+	if k > 1 { // a single right-hand side takes the scratch-free SolveT path
+		f.multiScratch(k)
+	}
+}
+
 // SolveMulti solves A·x = b in place for every right-hand side in bs: on
 // return each bs[r] holds its solution. The factor columns are traversed
 // once for all len(bs) systems. Results are bit-identical to calling Solve
@@ -44,44 +54,56 @@ func (f *LU) SolveMulti(bs [][]float64) {
 	zs, ws := f.multiScratch(k)
 	// Scatter the right-hand sides into the original-row-indexed workspace.
 	for r, b := range bs {
-		for i := 0; i < n; i++ {
-			ws[i*k+r] = b[i]
+		b = b[:n]
+		for i, v := range b {
+			ws[i*k+r] = v
 		}
 	}
 	// Forward solve L̂ y = P b, processing pivot steps in order. ws plays
 	// the role of the in-place-updated b; zs holds y.
 	for kk := 0; kk < n; kk++ {
-		base := kk * k
-		copy(zs[base:base+k], ws[int(f.prow[kk])*k:int(f.prow[kk])*k+k])
-		for p := f.lp[kk]; p < f.lp[kk+1]; p++ {
-			l := f.lx[p]
-			wb := int(f.lrow[p]) * k
-			for r := 0; r < k; r++ {
-				ws[wb+r] -= zs[base+r] * l
+		zb := zs[kk*k : kk*k+k]
+		pb := int(f.prow[kk]) * k
+		copy(zb, ws[pb:pb+k])
+		lo, hi := f.lp[kk], f.lp[kk+1]
+		rows, xs := f.lrow[lo:hi], f.lx[lo:hi]
+		xs = xs[:len(rows)]
+		for i, row := range rows {
+			l := xs[i]
+			wb := int(row) * k
+			dst := ws[wb : wb+k]
+			dst = dst[:len(zb)]
+			for r, z := range zb {
+				dst[r] -= z * l
 			}
 		}
 	}
 	// Back solve Û x̂ = y.
 	for j := n - 1; j >= 0; j-- {
-		base := j * k
+		zb := zs[j*k : j*k+k]
 		d := f.ud[j]
-		for r := 0; r < k; r++ {
-			zs[base+r] /= d
+		for r := range zb {
+			zb[r] /= d
 		}
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			u := f.ux[p]
-			ub := int(f.uk[p]) * k
-			for r := 0; r < k; r++ {
-				zs[ub+r] -= zs[base+r] * u
+		lo, hi := f.up[j], f.up[j+1]
+		ks, xs := f.uk[lo:hi], f.ux[lo:hi]
+		xs = xs[:len(ks)]
+		for i, kj := range ks {
+			u := xs[i]
+			ub := int(kj) * k
+			dst := zs[ub : ub+k]
+			dst = dst[:len(zb)]
+			for r, z := range zb {
+				dst[r] -= z * u
 			}
 		}
 	}
 	// Un-permute: x[q[j]] = x̂[j].
 	for j := 0; j < n; j++ {
-		base := j * k
+		zb := zs[j*k : j*k+k]
 		qj := f.q[j]
 		for r, b := range bs {
-			b[qj] = zs[base+r]
+			b[qj] = zb[r]
 		}
 	}
 }
@@ -104,39 +126,49 @@ func (f *LU) SolveTMulti(bs [][]float64) {
 	zs, _ := f.multiScratch(k)
 	// Forward solve Ûᵀ z = ĉ with ĉ[j] = b[q[j]].
 	for j := 0; j < n; j++ {
-		base := j * k
+		zb := zs[j*k : j*k+k]
 		qj := f.q[j]
 		for r, b := range bs {
-			zs[base+r] = b[qj]
+			zb[r] = b[qj]
 		}
-		for p := f.up[j]; p < f.up[j+1]; p++ {
-			u := f.ux[p]
-			ub := int(f.uk[p]) * k
-			for r := 0; r < k; r++ {
-				zs[base+r] -= u * zs[ub+r]
+		lo, hi := f.up[j], f.up[j+1]
+		ks, xs := f.uk[lo:hi], f.ux[lo:hi]
+		xs = xs[:len(ks)]
+		for i, kj := range ks {
+			u := xs[i]
+			ub := int(kj) * k
+			src := zs[ub : ub+k]
+			src = src[:len(zb)]
+			for r, v := range src {
+				zb[r] -= u * v
 			}
 		}
 		d := f.ud[j]
-		for r := 0; r < k; r++ {
-			zs[base+r] /= d
+		for r := range zb {
+			zb[r] /= d
 		}
 	}
 	// Back solve L̂ᵀ ŷ = z; x[prow[kk]] = ŷ[kk].
 	for kk := n - 1; kk >= 0; kk-- {
-		base := kk * k
-		for p := f.lp[kk]; p < f.lp[kk+1]; p++ {
-			l := f.lx[p]
-			sb := int(f.pinv[f.lrow[p]]) * k
-			for r := 0; r < k; r++ {
-				zs[base+r] -= l * zs[sb+r]
+		zb := zs[kk*k : kk*k+k]
+		lo, hi := f.lp[kk], f.lp[kk+1]
+		steps, xs := f.lstep[lo:hi], f.lx[lo:hi]
+		xs = xs[:len(steps)]
+		for i, st := range steps {
+			l := xs[i]
+			sb := int(st) * k
+			src := zs[sb : sb+k]
+			src = src[:len(zb)]
+			for r, v := range src {
+				zb[r] -= l * v
 			}
 		}
 	}
 	for kk := 0; kk < n; kk++ {
-		base := kk * k
+		zb := zs[kk*k : kk*k+k]
 		row := f.prow[kk]
 		for r, b := range bs {
-			b[row] = zs[base+r]
+			b[row] = zb[r]
 		}
 	}
 }

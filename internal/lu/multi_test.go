@@ -66,15 +66,25 @@ func TestSolveTMultiBitIdentical(t *testing.T) {
 		n := 1 + rng.Intn(70)
 		k := 1 + rng.Intn(9)
 		f, single, multi := multiFixture(t, rng, n, k, iter%3 == 0)
+		cloned := make([][]float64, k)
+		for r := range multi {
+			cloned[r] = append([]float64(nil), multi[r]...)
+		}
 		for r := range single {
 			f.SolveT(single[r])
 		}
 		f.SolveTMulti(multi)
+		// A clone shares the pivot-step index lstep with f.
+		f.Clone().SolveTMulti(cloned)
 		for r := range single {
 			for i := range single[r] {
 				if math.Float64bits(single[r][i]) != math.Float64bits(multi[r][i]) {
 					t.Fatalf("iter %d (n=%d k=%d): rhs %d entry %d: multi %g != single %g",
 						iter, n, k, r, i, multi[r][i], single[r][i])
+				}
+				if math.Float64bits(single[r][i]) != math.Float64bits(cloned[r][i]) {
+					t.Fatalf("iter %d (n=%d k=%d): rhs %d entry %d: clone multi %g != single %g",
+						iter, n, k, r, i, cloned[r][i], single[r][i])
 				}
 			}
 		}
@@ -142,6 +152,18 @@ func TestSolveMultiAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(50, func() { f.SolveTMulti(bs) }); a != 0 {
 		t.Fatalf("SolveTMulti allocates %v per run, want 0", a)
+	}
+	// ReserveMulti sizes the scratch once for a right-hand-side count that
+	// then grows call by call, as the adjoint sweep's live set does.
+	g, err := Factor(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.ReserveMulti(k)
+	for kk := 2; kk <= k; kk++ {
+		if a := testing.AllocsPerRun(1, func() { g.SolveTMulti(bs[:kk]) }); a != 0 {
+			t.Fatalf("SolveTMulti(k=%d) after ReserveMulti(%d) allocates %v, want 0", kk, k, a)
+		}
 	}
 }
 

@@ -689,14 +689,8 @@ func Run(ckt *circuit.Circuit, opt Options) (*Result, error) {
 		copy(xPrev, x)
 		hPrev = h
 		copy(x, xTrial)
-		// Re-evaluate at the converged state so the captured J and C are
-		// clean (the last Newton evaluation was at the pre-update iterate).
-		s.ev.Run(x, tNext)
-		if trap {
-			s.ev.BuildJWeighted(s.J, 0.5, invH)
-		} else {
-			s.ev.BuildJ(s.J, invH)
-		}
+		// newton's last eval was at the accepted state, so s.ev, s.J and
+		// s.ev.C already hold the converged J and C that Capture records.
 		record(tNext, h, x)
 		res.Stats.StepsAccepted++
 		if ro.on {

@@ -481,3 +481,74 @@ func TestStepCostHook(t *testing.T) {
 		}
 	}
 }
+
+// TestCapturedJacobiansMatchFreshEval pins what Capture hands the Jacobian
+// store: at every accepted step, J and C bit-identical to a fresh Eval.Run
+// and BuildJ at the captured state — for backward Euler, the trapezoidal
+// rule, and a run resumed from a checkpoint. Newton's converged iterate is
+// the last state it evaluates, so Run captures without re-evaluating.
+func TestCapturedJacobiansMatchFreshEval(t *testing.T) {
+	base := Options{TStop: 2e-4, TStep: 2e-6}
+	trap := base
+	trap.Method = MethodTrap
+	// The resumed run restarts from checkpoint 40 of the backward-Euler run.
+	ref, err := Run(buildDiodeRC(t), base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const c = 40
+	resumed := base
+	resumed.Resume = &ResumeState{Times: ref.Times[:c+1], Hs: ref.Hs[:c+1],
+		States: ref.States[:c+1], NextH: base.TStep}
+	for name, opt := range map[string]Options{"be": base, "trap": trap, "resumed": resumed} {
+		t.Run(name, func(t *testing.T) {
+			ckt := buildDiodeRC(t)
+			js := map[int][]float64{}
+			cs := map[int][]float64{}
+			opt.Capture = func(step int, _ float64, _ []float64, J, C *sparse.Matrix) error {
+				js[step] = append([]float64(nil), J.Val...)
+				cs[step] = append([]float64(nil), C.Val...)
+				return nil
+			}
+			res, err := Run(ckt, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(js) < 50 {
+				t.Fatalf("only %d captures", len(js))
+			}
+			ev := circuit.NewEval(ckt)
+			j := sparse.NewMatrix(ckt.JPat)
+			for step, jv := range js {
+				ev.Run(res.States[step], res.Times[step])
+				switch {
+				case step == 0:
+					ev.BuildJ(j, 0)
+					ckt.AddGmin(j, opt.withDefaults().Gmin)
+				case opt.Method == MethodTrap:
+					ev.BuildJWeighted(j, 0.5, 1/res.Hs[step])
+				default:
+					ev.BuildJ(j, 1/res.Hs[step])
+				}
+				for k := range jv {
+					if math.Float64bits(jv[k]) != math.Float64bits(j.Val[k]) {
+						t.Fatalf("step %d: captured J[%d] = %g, fresh eval %g", step, k, jv[k], j.Val[k])
+					}
+				}
+				for k, v := range cs[step] {
+					if math.Float64bits(v) != math.Float64bits(ev.C.Val[k]) {
+						t.Fatalf("step %d: captured C[%d] = %g, fresh eval %g", step, k, v, ev.C.Val[k])
+					}
+				}
+			}
+			if name == "resumed" {
+				if _, ok := js[c]; ok {
+					t.Fatal("resumed run re-captured its checkpoint step")
+				}
+				if _, ok := js[c+1]; !ok {
+					t.Fatal("resumed run did not capture the step after its checkpoint")
+				}
+			}
+		})
+	}
+}

@@ -290,9 +290,38 @@ func TestSimulateMemBudgetBitIdentical(t *testing.T) {
 					if run.TensorStats.BudgetBytes != budget {
 						t.Fatalf("%s/%v: stats echo budget %d, want %d", st, method, run.TensorStats.BudgetBytes, budget)
 					}
+					// The tiers report the placement EndForward left, not the
+					// empty store the finished sweep leaves behind.
+					ts := run.TensorStats
+					if sum := ts.TierHotSteps + ts.TierCompressedSteps + ts.TierDiskSteps + ts.TierDroppedSteps; sum != run.Tran.Steps()+1 {
+						t.Fatalf("%s/%v budget=%d W=%d wk=%d: tier steps sum to %d, want %d (%+v)",
+							st, method, budget, sw.windows, sw.workers, sum, run.Tran.Steps()+1, ts)
+					}
 					if len(run.Sens.DegradedSteps) != 0 {
 						t.Fatalf("%s/%v budget=%d: planned drops leaked into DegradedSteps: %v",
 							st, method, budget, run.Sens.DegradedSteps)
+					}
+				}
+			}
+			// A tiny budget over a slow spill device must drop steps: once
+			// the first spill is measured, recomputing a step is far cheaper
+			// than its disk round trip. The placement still covers every step.
+			opt := base
+			opt.MemBudgetBytes = 1 << 10
+			opt.DiskDir = t.TempDir()
+			opt.DiskBytesPerSec = 1e4
+			run, err := Simulate(ckt, opt, objs, nil)
+			if err != nil {
+				t.Fatalf("%s/%v 1K slow disk: %v", st, method, err)
+			}
+			ts := run.TensorStats
+			if sum := ts.TierHotSteps + ts.TierCompressedSteps + ts.TierDiskSteps + ts.TierDroppedSteps; ts.TierDroppedSteps == 0 || sum != run.Tran.Steps()+1 {
+				t.Fatalf("%s/%v 1K slow disk: placement %+v over %d steps", st, method, ts, run.Tran.Steps()+1)
+			}
+			for o := range ref.Sens.DOdp {
+				for k := range ref.Sens.DOdp[o] {
+					if math.Float64bits(ref.Sens.DOdp[o][k]) != math.Float64bits(run.Sens.DOdp[o][k]) {
+						t.Fatalf("%s/%v 1K slow disk: obj %d sens %d diverges", st, method, o, k)
 					}
 				}
 			}
